@@ -20,12 +20,11 @@ from repro.geometry.fermat import fermat_point
 from repro.linklayer import LinkLayer, LinkLayerConfig
 from repro.network import RadioConfig, build_network
 from repro.network.topology import uniform_random_topology
-from repro.perf.cache import caches_disabled, clear_caches
+from repro.perf.cache import clear_caches
 from repro.perf.kernels import vectorized_disabled
-from repro.perf.soa import soa_disabled
 from repro.routing import GMPProtocol, LGSProtocol, PBMProtocol, SMTProtocol
 from repro.simkit.rng import RandomStreams
-from repro.simkit.scheduler import CalendarScheduler, EventScheduler
+from repro.simkit.scheduler import EventScheduler
 from repro.simkit.simulator import Simulator
 from repro.steiner.kmb import kmb_steiner_tree
 from repro.steiner.mst import euclidean_mst
@@ -125,13 +124,12 @@ def test_bench_task_execution(benchmark, micro_network, factory):
 
 
 def test_bench_task_execution_gmp_cold(benchmark, micro_network):
-    """GMP with all perf caches disabled: the uncached reference path."""
+    """GMP starting from an empty Fermat-point memo: the cold path."""
     dests = [30, 90, 150, 210, 270, 330, 370, 399]
 
     def cold_task():
         clear_caches()
-        with caches_disabled():
-            return run_task(micro_network, GMPProtocol(), 0, dests)
+        return run_task(micro_network, GMPProtocol(), 0, dests)
 
     benchmark.pedantic(cold_task, rounds=3, iterations=1)
 
@@ -263,8 +261,7 @@ def test_bench_rrstr_5k_gmp_vectorized(benchmark, scale_network_5k):
 
     def build():
         clear_caches()
-        with caches_disabled():
-            return rrstr(source, dests, 150.0)
+        return rrstr(source, dests, 150.0)
 
     benchmark.pedantic(build, rounds=7, iterations=1, warmup_rounds=1)
 
@@ -275,7 +272,7 @@ def test_bench_rrstr_5k_gmp_scalar(benchmark, scale_network_5k):
 
     def build():
         clear_caches()
-        with caches_disabled(), vectorized_disabled():
+        with vectorized_disabled():
             return rrstr(source, dests, 150.0)
 
     benchmark.pedantic(build, rounds=7, iterations=1, warmup_rounds=1)
@@ -337,17 +334,12 @@ def test_bench_reprolint_whole_repo(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Struct-of-arrays core: network build + event-scheduler backends
+# Struct-of-arrays core: network build, plane attach, event scheduler
 # ----------------------------------------------------------------------
 
 
 def test_bench_network_build_5k_soa(benchmark):
-    """50k-regime adjacency construction: the ``unit_disk_rows`` CSR path.
-
-    Paired with ``test_bench_network_build_5k_legacy`` below: the median
-    ratio between the two is the SoA build speedup (~3x on the reference
-    machine; see docs/PERFORMANCE.md).
-    """
+    """50k-regime adjacency construction: the ``unit_disk_rows`` CSR path."""
     config = scaled_config(PaperConfig(), 5000)
     rng = np.random.default_rng(41)
     points = uniform_random_topology(
@@ -359,21 +351,6 @@ def test_bench_network_build_5k_soa(benchmark):
         iterations=1,
         warmup_rounds=1,
     )
-
-
-def test_bench_network_build_5k_legacy(benchmark):
-    """The same 5k-node build through the per-node object-graph scan."""
-    config = scaled_config(PaperConfig(), 5000)
-    rng = np.random.default_rng(41)
-    points = uniform_random_topology(
-        config.node_count, config.field_width_m, config.field_height_m, rng
-    )
-
-    def build():
-        with soa_disabled():
-            return build_network(points, RadioConfig())
-
-    benchmark.pedantic(build, rounds=5, iterations=1, warmup_rounds=1)
 
 
 @pytest.fixture(scope="module")
@@ -416,9 +393,7 @@ def _mac_like_schedule(scheduler, churn=60_000, live=30_000, seed=211):
     Mimics what the CSMA link layer generates at the 50k-node scale: tens
     of thousands of concurrently pending backoff/ACK/beacon timers with a
     dense sub-millisecond near-future band, churned hold-one-pop-one in
-    steady state.  The binary heap pays O(log live) per operation here;
-    the calendar queue's windows keep it O(1) amortized — this pair
-    measures that gap (the same stream, both backends).
+    steady state: the binary heap pays O(log live) per operation.
     """
     rng = np.random.default_rng(seed)
     delays = rng.uniform(1e-4, 5e-3, live + churn)
@@ -434,18 +409,8 @@ def _mac_like_schedule(scheduler, churn=60_000, live=30_000, seed=211):
     return live + churn
 
 
-def test_bench_scheduler_calendar(benchmark):
-    """Calendar-queue backend under the contended-MAC event stream."""
-    benchmark.pedantic(
-        lambda: _mac_like_schedule(CalendarScheduler()),
-        rounds=5,
-        iterations=1,
-        warmup_rounds=1,
-    )
-
-
 def test_bench_scheduler_heap(benchmark):
-    """Binary-heap backend on the identical stream — the A arm of the pair."""
+    """The event scheduler under the contended-MAC event stream."""
     benchmark.pedantic(
         lambda: _mac_like_schedule(EventScheduler()),
         rounds=5,

@@ -268,14 +268,16 @@ def _format_peak_rss(
     return message
 
 
-def _report_peak_rss(progress) -> None:
+def _report_peak_rss(progress, workers: int) -> None:
     """Report peak resident set size via ``progress`` (stderr, not stdout).
 
     Memory telemetry for the large-scale sweeps; stdout stays reserved for
     results so CI can diff serial vs parallel runs byte-for-byte.  Worker
-    processes are accounted separately — ``ru_maxrss`` of reaped children
-    is the largest single worker, not their sum — and shared-memory plane
-    segments are accounted once (they back every process's mapping).
+    processes of a pooled sweep (``workers > 1``) are accounted separately
+    — ``ru_maxrss`` of reaped children is the largest single worker, not
+    their sum.  A serial sweep has no workers, and any children it did reap
+    (subprocesses unrelated to the sweep) are left out.  Shared-memory
+    plane segments are accounted once (they back every process's mapping).
     """
     try:
         import resource
@@ -285,7 +287,11 @@ def _report_peak_rss(progress) -> None:
 
     divisor = _rss_divisor(sys.platform)
     peak_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / divisor
-    peak_child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / divisor
+    peak_child = (
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / divisor
+        if workers > 1
+        else 0.0
+    )
     shared_mib = peak_published_bytes() / (1024.0 * 1024.0)
     progress(_format_peak_rss(peak_self, peak_child, shared_mib))
 
@@ -504,7 +510,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         print(render_scale_table(sweep))
         print(f"digest: {sweep.digest()}")
-        _report_peak_rss(progress)
+        _report_peak_rss(progress, args.workers)
         if args.json_path:
             _write_json(
                 args.json_path,
@@ -553,7 +559,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"throughput: {sessions_sweep.completed_sessions / elapsed:.2f} "
                 f"sessions/s over {elapsed:.1f}s"
             )
-        _report_peak_rss(progress)
+        _report_peak_rss(progress, args.workers)
         if args.json_path:
             _write_json(
                 args.json_path,

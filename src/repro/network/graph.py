@@ -14,10 +14,12 @@ Internally the network is struct-of-arrays: node coordinates, liveness and
 residual energy are flat NumPy arrays, and all three neighbor relations
 (unit-disk, Gabriel, RNG) share one CSR representation
 (:class:`CSRAdjacency`) whose rows are O(1) array slices.  The public API is
-unchanged — ``neighbors_of`` still hands out tuples of plain ints — and
-``repro.perf.soa.set_soa_enabled(False)`` routes construction back through
-the per-node object-graph path for A/B digest testing; rows are identical
-either way.
+unchanged — ``neighbors_of`` still hands out tuples of plain ints.  The
+unit-disk rows come from the batched :func:`repro.perf.kernels.unit_disk_rows`
+kernel, or from per-node grid range queries
+(:meth:`WirelessNetwork._build_neighbor_lists`, the kernel's scalar
+reference) while ``repro.perf.kernels.vectorized_enabled()`` is off; rows
+are identical either way.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from repro.network.node import SensorNode
 from repro.network.planar import gabriel_neighbors, rng_neighbors
 from repro.network.radio import RadioConfig
 from repro.perf.kernels import disk_mask, unit_disk_rows, vectorized_enabled
-from repro.perf.soa import soa_enabled
 
 
 #: Minimum candidate count for a query to take the batched disk test.
@@ -523,15 +524,13 @@ class WirelessNetwork:
         self.alive = np.ones(count, dtype=bool)
         self.residual_energy_j = np.full(count, float(initial_energy_j), dtype=float)
         self._grid = SpatialGrid([n.location for n in self.nodes], radio.radio_range_m)
-        self._soa = soa_enabled()
-        if self._soa and vectorized_enabled():
+        if vectorized_enabled():
             indptr, indices = unit_disk_rows(
                 self.locations[:, 0], self.locations[:, 1], radio.radio_range_m
             )
             self._adjacency = CSRAdjacency(indptr, indices)
         else:
             self._adjacency = CSRAdjacency.from_rows(self._build_neighbor_lists())
-        self._neighbor_sets: List[Optional[frozenset]] = [None] * count
         self._gabriel_cache: Dict[int, Tuple[int, ...]] = {}
         self._rng_cache: Dict[int, Tuple[int, ...]] = {}
         self._gabriel_csr: Optional[CSRAdjacency] = None
@@ -551,8 +550,8 @@ class WirelessNetwork:
     def _build_neighbor_lists(self) -> List[Tuple[int, ...]]:
         """Per-node unit-disk rows via grid range queries (one per node).
 
-        The object-graph construction path, and the scalar reference for
-        the batched :func:`repro.perf.kernels.unit_disk_rows` kernel: both
+        The scalar reference for the batched
+        :func:`repro.perf.kernels.unit_disk_rows` kernel: both
         apply the same inclusive ``dx*dx + dy*dy <= r*r`` test, so the CSR
         rows are identical whichever path built them.
         """
@@ -609,17 +608,9 @@ class WirelessNetwork:
     def are_neighbors(self, a: int, b: int) -> bool:
         """Whether nodes ``a`` and ``b`` share a direct radio link.
 
-        SoA path: binary search of the sorted CSR row (O(log degree)).
-        Legacy path: memoized per-node frozenset — either way the old
-        O(degree) tuple scan is gone from the validation hot loop.
+        Binary search of the sorted CSR row (O(log degree)).
         """
-        if self._soa:
-            return self._adjacency.contains(a, b)
-        cached = self._neighbor_sets[a]
-        if cached is None:
-            cached = frozenset(self._adjacency.row_tuple(a))
-            self._neighbor_sets[a] = cached
-        return b in cached
+        return self._adjacency.contains(a, b)
 
     def neighbor_location_array(self, node_id: int) -> np.ndarray:
         """Locations of ``node_id``'s neighbors as a read-only ``(m, 2)`` array.
@@ -685,14 +676,13 @@ class WirelessNetwork:
     def shared_state_arrays(self) -> Optional[Dict[str, np.ndarray]]:
         """The flat arrays a shared-memory plane serializes, or ``None``.
 
-        ``None`` marks the network non-publishable: built through the
-        legacy object-graph path (no SoA guarantees), or already mutated
+        ``None`` marks the network non-publishable: already mutated
         (failures / CSR row overrides) — a mutated deployment is
         worker-local by definition and must never be shared.  Planar
         overlays are included only when already materialized; attachers
         rebuild them lazily otherwise, bit-identically.
         """
-        if not self._soa or self._failed or self._adjacency._overrides:
+        if self._failed or self._adjacency._overrides:
             return None
         arrays: Dict[str, np.ndarray] = {
             "locations": self.locations,
@@ -776,7 +766,6 @@ class WirelessNetwork:
         self._gabriel_cache.pop(node_id, None)
         self._rng_cache.pop(node_id, None)
         self._neighbor_arrays[node_id] = None
-        self._neighbor_sets[node_id] = None
         # Whole-graph planar overlays are rebuilt lazily after any mutation.
         self._gabriel_csr = None
         self._rng_csr = None
@@ -954,11 +943,9 @@ def attach_shared_network(
     network._grid = SpatialGrid.from_packed(
         network.locations, radio.radio_range_m, arrays
     )
-    network._soa = True
     network._adjacency = CSRAdjacency(
         arrays["adjacency_indptr"], arrays["adjacency_indices"]
     )
-    network._neighbor_sets = [None] * count
     network._gabriel_cache = {}
     network._rng_cache = {}
     network._gabriel_csr = (

@@ -1,13 +1,13 @@
 """Performance layer: instrumentation, hot-path caches, parallel fan-out.
 
-Three cooperating modules, none of which may change simulation *results*:
+Cooperating modules, none of which may change simulation *results*:
 
 * :mod:`repro.perf.counters` — process-local cache hit/miss counters and
   stage wall-time accounting (with an *injected* clock, so simulation code
   never reads the wall clock itself — reprolint R002).
-* :mod:`repro.perf.cache` — memoization of the per-hop geometry hot path
-  (Fermat points, reduction ratios, rrSTR trees), keyed on exact coordinate
-  tuples so a hit is bit-identical to a fresh computation.
+* :mod:`repro.perf.cache` — the Fermat-point memo on rrSTR's refinement
+  hot path, keyed on exact coordinate tuples so a hit is bit-identical to a
+  fresh computation.
 * :mod:`repro.perf.parallel` — a deterministic process-pool runner that
   shards independent work units and merges results in canonical submission
   order, guaranteeing parallel output identical to the serial run.
@@ -17,17 +17,7 @@ Three cooperating modules, none of which may change simulation *results*:
   results.
 """
 
-from repro.perf.cache import (
-    TreeCache,
-    cache_stats,
-    cached_fermat_point,
-    cached_reduction_ratio_pairs,
-    cached_reduction_ratio_point,
-    caches_disabled,
-    caching_enabled,
-    clear_caches,
-    set_caching_enabled,
-)
+from repro.perf.cache import cache_stats, cached_fermat_point, clear_caches
 from repro.perf.counters import (
     GLOBAL_COUNTERS,
     BatchCounter,
@@ -54,18 +44,11 @@ from repro.perf.kernels import (
     vectorized_enabled,
 )
 from repro.perf.parallel import run_units
-from repro.perf.soa import set_soa_enabled, soa_disabled, soa_enabled
 
 __all__ = [
-    "TreeCache",
     "cache_stats",
     "cached_fermat_point",
-    "cached_reduction_ratio_pairs",
-    "cached_reduction_ratio_point",
-    "caches_disabled",
-    "caching_enabled",
     "clear_caches",
-    "set_caching_enabled",
     "GLOBAL_COUNTERS",
     "BatchCounter",
     "CacheCounter",
@@ -88,7 +71,4 @@ __all__ = [
     "unit_disk_rows",
     "vectorized_disabled",
     "vectorized_enabled",
-    "set_soa_enabled",
-    "soa_disabled",
-    "soa_enabled",
 ]

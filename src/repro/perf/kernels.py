@@ -35,9 +35,8 @@ parallel-Simpson-line fallback and the Weiszfeld fallback inside
 vanishing fraction of real workloads.
 
 ``set_vectorized_enabled(False)`` (or the :func:`vectorized_disabled`
-context manager) routes every call site back to its scalar loop, mirroring
-``repro.perf.cache.set_caching_enabled`` — the A/B switch behind the digest
-equality tests and the cold-path microbenchmarks.  Each kernel invocation is
+context manager) routes every call site back to its scalar loop — the A/B
+switch behind the digest equality tests and the scalar microbenchmarks.  Each kernel invocation is
 tallied in :data:`~repro.perf.counters.GLOBAL_COUNTERS` under
 ``vector.<name>`` (batch count and total items), surfaced by the CLI
 ``--perf`` report.

@@ -340,8 +340,8 @@ class SharedNetworkPlane:
         Returns ``True`` when workers will find ``key`` on the plane
         (idempotent per key).  Returns ``False`` — a clean degrade to
         per-worker ``cached_network`` rebuilds — when the plane is
-        disabled, the network is legacy/non-SoA or already locally
-        mutated, or shared memory is unavailable.
+        disabled, the network is already locally mutated, or shared
+        memory is unavailable.
 
         On success the *parent's* network adopts the shared views too,
         dropping its private copies, so each deployment is resident once

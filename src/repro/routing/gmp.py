@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry import distance
 from repro.packets import Destination, MulticastPacket
-from repro.perf.cache import TreeCache
 from repro.routing.base import ForwardDecision, NodeView, RoutingProtocol, merge_decisions
 from repro.routing.greedy import (
     PROGRESS_EPSILON,
@@ -89,11 +88,6 @@ class GMPProtocol(RoutingProtocol):
             prose_one_in_range_rule=prose_one_in_range_rule,
         )
         self.name = "GMP" if radio_aware else "GMPnr"
-        # Memoized rrSTR trees, keyed on the exact (root location, radio
-        # range, ordered destination list) — perimeter-mode revisits and
-        # repeated tasks rebuild identical trees otherwise.  The rrSTR
-        # config is per-instance and immutable, so it needs no key part.
-        self._tree_cache: TreeCache[SteinerTree] = TreeCache("rrstr_tree")
 
     def describe(self) -> str:
         parts = [self.name]
@@ -137,20 +131,12 @@ class GMPProtocol(RoutingProtocol):
         dest_by_ref: Dict[int, Destination] = {
             d.node_id: d for d in packet.destinations
         }
-        cache_key = (
+        tree = rrstr(
             view.location,
+            [(d.node_id, d.location) for d in packet.destinations],
             view.radio_range,
-            tuple((d.node_id, d.location) for d in packet.destinations),
+            self.rrstr_config,
         )
-        tree = self._tree_cache.get(cache_key)
-        if tree is None:
-            tree = rrstr(
-                view.location,
-                [(d.node_id, d.location) for d in packet.destinations],
-                view.radio_range,
-                self.rrstr_config,
-            )
-            self._tree_cache.put(cache_key, tree)
         decisions: List[ForwardDecision] = []
         void_destinations: List[Destination] = []
         pivot_queue = deque(tree.pivots())

@@ -10,13 +10,12 @@ top of it.
 """
 
 from repro.simkit.event import Event
-from repro.simkit.scheduler import CalendarScheduler, EventScheduler
+from repro.simkit.scheduler import EventScheduler
 from repro.simkit.simulator import Simulator, SimulationError
 from repro.simkit.rng import RandomStreams, derive_seed
 
 __all__ = [
     "Event",
-    "CalendarScheduler",
     "EventScheduler",
     "Simulator",
     "SimulationError",

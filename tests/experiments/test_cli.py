@@ -1,10 +1,12 @@
 """Tests for the command-line harness."""
 
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import _format_peak_rss, _rss_divisor, main
+from repro.cli import _format_peak_rss, _report_peak_rss, _rss_divisor, main
 
 
 class TestCLI:
@@ -137,6 +139,22 @@ class TestPeakRssReport:
         assert "largest worker 56 MiB" in message
         assert "shared=12 MiB" in message
         assert "counted once" in message
+
+    @pytest.mark.parametrize("workers, worker_part", [(1, False), (2, True)])
+    def test_worker_component_only_for_pooled_runs(
+        self, monkeypatch, workers, worker_part
+    ):
+        # Children reaped by a serial run are unrelated subprocesses, not
+        # sweep workers, so their peak must not be reported as one.
+        resource = pytest.importorskip("resource")
+        maxrss = 64 * _rss_divisor(sys.platform)
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss)
+        )
+        messages = []
+        _report_peak_rss(messages.append, workers)
+        assert messages[0].startswith("peak RSS: 64 MiB")
+        assert ("largest worker 64 MiB" in messages[0]) == worker_part
 
 
 class TestSharedPlaneFlag:

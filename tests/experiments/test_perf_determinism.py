@@ -3,7 +3,7 @@
 Two contracts from the perf layer are load-bearing for reproducibility:
 
 * any worker count produces byte-identical results (trace digests equal);
-* enabling the hot-path caches changes nothing about simulation output.
+* a warm Fermat-point memo changes nothing about simulation output.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from repro.experiments.config import PaperConfig, SMOKE_SCALE
 from repro.experiments.figures import figure15, run_group_size_sweep
 from repro.network import RadioConfig, build_network
 from repro.network.topology import uniform_random_topology
-from repro.perf.cache import caches_disabled, clear_caches
+from repro.perf.cache import clear_caches
 from repro.routing import GMPProtocol
 
 TRACING = EngineConfig(collect_traces=True)
@@ -47,7 +47,7 @@ class TestParallelBitIdentity:
 
 
 class TestCachePurity:
-    def test_gmp_results_identical_with_caches_on_and_off(self):
+    def test_gmp_results_identical_cold_and_warm(self):
         rng = np.random.default_rng(23)
         points = uniform_random_topology(300, 1000.0, 1000.0, rng)
         network = build_network(points, RadioConfig())
@@ -71,12 +71,9 @@ class TestCachePurity:
                 for index, (source, dests) in enumerate(tasks)
             ]
 
-        with caches_disabled():
-            uncached = run_all()
         clear_caches()
-        cached_cold = run_all()
-        cached_warm = run_all()
-        assert batch_digest(uncached) == batch_digest(cached_cold)
-        assert batch_digest(uncached) == batch_digest(cached_warm)
-        hops = [r.delivered_hops for r in uncached]
-        assert hops == [r.delivered_hops for r in cached_warm]
+        cold = run_all()
+        warm = run_all()
+        assert batch_digest(cold) == batch_digest(warm)
+        hops = [r.delivered_hops for r in cold]
+        assert hops == [r.delivered_hops for r in warm]

@@ -1,10 +1,10 @@
 """Struct-of-arrays network core: CSR adjacency, liveness, residual energy.
 
-The SoA layout is a pure representation change: a network built with
-``soa_enabled()`` must answer every topology query identically to one built
-through the per-node object-graph path (``soa_disabled()``), including after
-mutations.  These tests pin that A/B contract plus the new flat-array state
-(``alive``, ``residual_energy_j``) and the shared planar CSR overlays.
+The batched CSR build must produce exactly the rows of the per-node grid
+scan (``WirelessNetwork._build_neighbor_lists``, its scalar reference),
+including after mutations.  These tests pin that contract plus the
+flat-array state (``alive``, ``residual_energy_j``) and the shared planar
+CSR overlays.
 """
 
 import math
@@ -16,13 +16,6 @@ import pytest
 from repro.geometry import Point
 from repro.network import CSRAdjacency, RadioConfig, WirelessNetwork
 from repro.network.topology import uniform_random_topology
-from repro.perf.soa import set_soa_enabled, soa_disabled, soa_enabled
-
-
-@pytest.fixture(autouse=True)
-def _restore_soa():
-    yield
-    set_soa_enabled(True)
 
 
 def _deployment(seed: int = 11, count: int = 300) -> list:
@@ -70,48 +63,45 @@ class TestCSRAdjacency:
         assert csr.row_tuple(1) == () and csr.degree(1) == 0
 
 
-class TestSoAObjectGraphEquivalence:
-    def test_construction_paths_identical(self):
-        points = _deployment()
-        assert soa_enabled()
-        soa_net = WirelessNetwork(points, RadioConfig())
-        with soa_disabled():
-            legacy_net = WirelessNetwork(points, RadioConfig())
-        assert soa_net.adjacency.indptr.tolist() == legacy_net.adjacency.indptr.tolist()
-        assert np.array_equal(soa_net.adjacency.indices, legacy_net.adjacency.indices)
-        for i in range(len(points)):
-            assert soa_net.neighbors_of(i) == legacy_net.neighbors_of(i)
-            assert soa_net.gabriel_neighbors_of(i) == legacy_net.gabriel_neighbors_of(i)
-            assert soa_net.rng_neighbors_of(i) == legacy_net.rng_neighbors_of(i)
-        assert soa_net.average_degree() == legacy_net.average_degree()
+class TestScalarReferenceEquivalence:
+    """CSR rows equal the per-node grid scan (``_build_neighbor_lists``)."""
 
-    def test_are_neighbors_both_paths_match_membership(self):
+    def test_construction_matches_scalar_reference(self):
+        points = _deployment()
+        net = WirelessNetwork(points, RadioConfig())
+        reference = CSRAdjacency.from_rows(net._build_neighbor_lists())
+        assert net.adjacency.indptr.tolist() == reference.indptr.tolist()
+        assert np.array_equal(net.adjacency.indices, reference.indices)
+        for i in range(len(points)):
+            assert net.neighbors_of(i) == reference.row_tuple(i)
+
+    def test_are_neighbors_matches_membership(self):
         points = _deployment(seed=5, count=200)
-        soa_net = WirelessNetwork(points, RadioConfig())
-        with soa_disabled():
-            legacy_net = WirelessNetwork(points, RadioConfig())
+        net = WirelessNetwork(points, RadioConfig())
+        reference = net._build_neighbor_lists()
         rng = random.Random(3)
         for _ in range(500):
             a = rng.randrange(len(points))
             b = rng.randrange(len(points))
-            expected = b in soa_net.neighbors_of(a)
-            assert soa_net.are_neighbors(a, b) == expected
-            assert legacy_net.are_neighbors(a, b) == expected
+            expected = b in reference[a]
+            assert (b in net.neighbors_of(a)) == expected
+            assert net.are_neighbors(a, b) == expected
 
-    def test_mutations_identical_across_paths(self):
+    def test_mutations_match_scalar_reference(self):
         points = _deployment(seed=8, count=150)
-        soa_net = WirelessNetwork(points, RadioConfig())
-        with soa_disabled():
-            legacy_net = WirelessNetwork(points, RadioConfig())
-        victim = soa_net.neighbors_of(0)[0]
-        soa_net.fail_node(victim)
-        legacy_net.fail_node(victim)
-        soa_net.move_node(3, Point(500.0, 500.0))
-        legacy_net.move_node(3, Point(500.0, 500.0))
+        net = WirelessNetwork(points, RadioConfig())
+        victim = net.neighbors_of(0)[0]
+        net.fail_node(victim)
+        net.move_node(3, Point(500.0, 500.0))
+        # The grid scan over the mutated deployment: the failed node is
+        # gone from the grid, and node 3 sits at its new location.
+        reference = net._build_neighbor_lists()
         for i in range(len(points)):
-            assert soa_net.neighbors_of(i) == legacy_net.neighbors_of(i), i
-        assert not soa_net.are_neighbors(0, victim)
-        assert not legacy_net.are_neighbors(0, victim)
+            expected = () if i == victim else reference[i]
+            assert net.neighbors_of(i) == expected, i
+            for j in expected:
+                assert net.are_neighbors(i, j)
+        assert not net.are_neighbors(0, victim)
 
 
 class TestFlatNodeState:
@@ -176,10 +166,9 @@ class TestPlanarCSROverlays:
         net.fail_node(victim)
         fresh = net.gabriel_adjacency()
         assert fresh is not stale
-        with soa_disabled():
-            rebuilt = WirelessNetwork(
-                [net.location_of(i) for i in range(100)], RadioConfig()
-            )
-            rebuilt.fail_node(victim)
+        rebuilt = WirelessNetwork(
+            [net.location_of(i) for i in range(100)], RadioConfig()
+        )
+        rebuilt.fail_node(victim)
         for i in range(100):
             assert fresh.row_tuple(i) == rebuilt.gabriel_neighbors_of(i), i

@@ -1,21 +1,11 @@
-"""Purity and isolation tests for the hot-path geometry caches."""
+"""Purity and isolation tests for the Fermat-point memo."""
 
 import numpy as np
 import pytest
 
 from repro.geometry import Point
 from repro.geometry.fermat import fermat_point
-from repro.perf.cache import (
-    TreeCache,
-    cache_stats,
-    cached_fermat_point,
-    cached_reduction_ratio_point,
-    caches_disabled,
-    caching_enabled,
-    clear_caches,
-)
-from repro.steiner.reduction_ratio import reduction_ratio_point
-from repro.steiner.tree import SteinerTree
+from repro.perf.cache import cache_stats, cached_fermat_point, clear_caches
 
 
 @pytest.fixture(autouse=True)
@@ -42,81 +32,14 @@ class TestGeometryMemos:
             assert first == fresh
             assert second == fresh
 
-    def test_reduction_ratio_hit_is_bit_identical(self):
-        for s, u, v in _random_triples(25, seed=13):
-            fresh = reduction_ratio_point(s, u, v)
-            assert cached_reduction_ratio_point(s, u, v) == fresh
-            assert cached_reduction_ratio_point(s, u, v) == fresh
-
-    def test_disabled_bypasses_cache(self):
-        a, b, c = _random_triples(1)[0]
-        with caches_disabled():
-            assert not caching_enabled()
-            assert cached_fermat_point(a, b, c) == fermat_point(a, b, c)
-        assert caching_enabled()
-        # Nothing was stored while disabled.
-        assert cache_stats()["fermat_point"]["entries"] == 0.0
-
     def test_cache_stats_shape(self):
         a, b, c = _random_triples(1)[0]
         cached_fermat_point(a, b, c)
         stats = cache_stats()
-        assert set(stats) == {"fermat_point", "reduction_ratio"}
+        assert set(stats) == {"fermat_point"}
         assert stats["fermat_point"]["entries"] == 1.0
         assert {"hits", "misses", "hit_rate", "entries"} <= set(
             stats["fermat_point"]
         )
-
-
-def _small_tree():
-    tree = SteinerTree(Point(0, 0))
-    t1 = tree.add_terminal(Point(100, 0), ref=7)
-    t2 = tree.add_terminal(Point(0, 100), ref=9)
-    tree.attach(0, t1)
-    tree.attach(t1, t2)
-    return tree
-
-
-class TestTreeCache:
-    def test_miss_returns_none(self):
-        cache = TreeCache("t")
-        assert cache.get("missing") is None
-
-    def test_hit_returns_private_copy(self):
-        cache = TreeCache("t")
-        cache.put("k", _small_tree())
-        first = cache.get("k")
-        # Mutate the handed-out tree the way GMP's splitting step does.
-        leaf = first.children_of(1)[-1]
-        first.detach(leaf)
-        first.attach(0, leaf)
-        second = cache.get("k")
-        assert second.children_of(1) == (2,)  # pristine
-        assert second.edges() != first.edges()
-
-    def test_put_copies_eagerly(self):
-        cache = TreeCache("t")
-        original = _small_tree()
-        cache.put("k", original)
-        original.detach(2)
-        assert cache.get("k").children_of(1) == (2,)
-
-    def test_disabled_is_passthrough(self):
-        cache = TreeCache("t")
-        with caches_disabled():
-            cache.put("k", _small_tree())
-            assert cache.get("k") is None
-        assert len(cache) == 0
-
-    def test_fifo_eviction(self):
-        cache = TreeCache("t", max_entries=2)
-        cache.put("a", _small_tree())
-        cache.put("b", _small_tree())
-        cache.put("c", _small_tree())
-        assert cache.get("a") is None
-        assert cache.get("b") is not None
-        assert cache.get("c") is not None
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            TreeCache("t", max_entries=0)
+        clear_caches()
+        assert cache_stats()["fermat_point"]["entries"] == 0.0

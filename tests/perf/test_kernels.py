@@ -149,15 +149,13 @@ def test_disk_mask_bit_identical() -> None:
 def test_unit_disk_rows_bit_identical_to_grid_build() -> None:
     """unit_disk_rows == the per-node SpatialGrid build, row for row.
 
-    The scalar reference is ``WirelessNetwork._build_neighbor_lists`` — the
-    construction path a ``soa_disabled()`` network takes — over seeded
-    deployments including negative coordinates, cell-boundary points,
-    exact-radius pairs and coincident nodes.
+    The scalar reference is ``WirelessNetwork._build_neighbor_lists``, over
+    seeded deployments including negative coordinates, cell-boundary
+    points, exact-radius pairs and coincident nodes.
     """
     from repro.network.graph import WirelessNetwork
     from repro.network.radio import RadioConfig
     from repro.perf.kernels import unit_disk_rows
-    from repro.perf.soa import soa_disabled
 
     rng = random.Random(20260808)
     radio = RadioConfig()  # 150 m range
@@ -174,12 +172,11 @@ def test_unit_disk_rows_bit_identical_to_grid_build() -> None:
         xs = np.array([p.x for p in pts], dtype=float)
         ys = np.array([p.y for p in pts], dtype=float)
         indptr, indices = unit_disk_rows(xs, ys, radio.radio_range_m)
-        with soa_disabled():
-            reference = WirelessNetwork(pts, radio)
+        reference = WirelessNetwork(pts, radio)._build_neighbor_lists()
         assert indptr[0] == 0 and indptr[-1] == len(indices)
         for i in range(len(pts)):
             row = tuple(indices[indptr[i] : indptr[i + 1]].tolist())
-            assert row == reference.neighbors_of(i), (trial, i)
+            assert row == reference[i], (trial, i)
         checked += len(pts)
     assert checked >= 1000
 

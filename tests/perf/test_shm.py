@@ -31,7 +31,6 @@ from repro.perf.shm import (
     shared_plane_disabled,
     shared_plane_enabled,
 )
-from repro.perf.soa import soa_disabled
 from repro.sessions.workload import MulticastTask
 
 CONFIG = PaperConfig(node_count=250)
@@ -194,17 +193,6 @@ class TestDegradedPaths:
                 assert not plane.publish((CONFIG, 0, None), network)
                 assert attached_network((CONFIG, 0, None)) is None
             assert shared_plane_enabled()
-        finally:
-            plane.close()
-
-    def test_legacy_network_declines_publish(self):
-        with soa_disabled():
-            legacy = make_network(CONFIG, 0)
-        plane = SharedNetworkPlane(seed=CONFIG.master_seed)
-        try:
-            assert legacy.shared_state_arrays() is None
-            assert not plane.publish((CONFIG, 0, None), legacy)
-            assert not plane.active
         finally:
             plane.close()
 
