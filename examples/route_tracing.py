@@ -14,6 +14,7 @@ Run with::
 import numpy as np
 
 from repro import (
+    EngineConfig,
     GMPProtocol,
     LGSProtocol,
     RadioConfig,
@@ -52,7 +53,7 @@ def main() -> None:
 
     for protocol in (GMPProtocol(), LGSProtocol()):
         result = run_task(network, protocol, source, destinations,
-                          collect_trace=True)
+                          config=EngineConfig(collect_traces=True))
         trace = result.trace
         print(f"=== {protocol.name} ===")
         print(render_trace(network, trace, source, destinations))

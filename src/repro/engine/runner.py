@@ -1,4 +1,18 @@
-"""Running one multicast task through the discrete-event simulator.
+"""Running multicast sessions through the discrete-event simulator.
+
+One forwarding core carries GMP's per-hop rule for every session: receive
+a packet (adversary drop, delivery bookkeeping, the node's routing view,
+``protocol.handle``), then validate the decided copies, apply the hop
+TTL, pick the framing and size the headers.  The hopped copies go to a
+*medium*, of which there are two:
+
+* :class:`_IdealMedium` — the contention-free channel the paper's metrics
+  assume.  Each copy arrives exactly one airtime (plus processing delay)
+  later; the engine charges the energy, applies the injected failures and
+  writes the :class:`FrameRecord`.  :func:`run_task` runs one task on it.
+* :class:`_CsmaMedium` — the CSMA/ARQ/beacon :class:`LinkLayer`, fed
+  through its deliver, charge, loss and frame hooks.
+  :func:`run_contended_tasks` runs concurrent sessions on it.
 
 The engine never writes a network's state arrays directly: every mutation
 it performs (node failures via ``failed_node_ids``, energy drain through
@@ -26,7 +40,6 @@ from repro.linklayer.mac import CopyOutcome, LinkLayer
 from repro.network.energy import EnergyMeter, EnergyModel
 from repro.network.graph import WirelessNetwork
 from repro.packets import Destination, MulticastPacket
-from repro.perf.counters import GLOBAL_COUNTERS
 from repro.routing.base import ForwardDecision, NodeView, RoutingProtocol
 from repro.simkit import SimulationError, Simulator
 from repro.simkit.rng import RandomStreams, derive_seed
@@ -70,13 +83,9 @@ class EngineConfig:
             flat message size.  Off by default to match Table 1; turning
             it on penalizes protocols that carry long destination lists
             deep into the network.
-        collect_traces: Record the full on-air trace of every task (the
-            per-call ``collect_trace`` argument of :func:`run_task` still
-            works for one-off traces).  Used by the parallel-vs-serial
+        collect_traces: Record the full on-air trace of every task as
+            :attr:`TaskResult.trace`.  Used by the parallel-vs-serial
             bit-identity tests, which digest complete frame histories.
-        collect_perf: Attach per-task perf-cache counter deltas (hits and
-            misses moved during the task) as :attr:`TaskResult.perf`.
-            Instrumentation only — excluded from result digests.
         adversary: The misbehaving-node cast (see :mod:`repro.adversary`).
             Empty by default — and with an empty schedule every code path
             below is byte-identical to the adversary-free engine (the A/B
@@ -95,7 +104,6 @@ class EngineConfig:
     failed_node_ids: FrozenSet[int] = field(default_factory=frozenset)
     charge_header_overhead: bool = False
     collect_traces: bool = False
-    collect_perf: bool = False
     link: LinkLayerConfig = DEFAULT_LINK_CONFIG
     adversary: AdversarySchedule = EMPTY_ADVERSARY_SCHEDULE
 
@@ -127,291 +135,8 @@ class EngineConfig:
 DEFAULT_ENGINE_CONFIG = EngineConfig()
 
 
-class _TaskExecution:
-    """Mutable state of one in-flight task (one source, many branches)."""
-
-    def __init__(
-        self,
-        network: WirelessNetwork,
-        protocol: RoutingProtocol,
-        config: EngineConfig,
-        task_id: int,
-        trace: Optional[TaskTrace] = None,
-    ) -> None:
-        self.network = network
-        self.protocol = protocol
-        self.config = config
-        self.simulator = Simulator()
-        self.energy = EnergyMeter(EnergyModel(network.radio))
-        self.delivered_hops: Dict[int, int] = {}
-        self.dropped_ttl = 0
-        self.trace = trace
-        # Created unconditionally so that turning loss on/off cannot shift
-        # any *other* stream's draws, and a zero-rate config still owns a
-        # well-defined loss process (it just never consumes from it).
-        self._loss_rng = np.random.default_rng(
-            derive_seed(config.loss_seed, "loss", task_id)
-        )
-        # None when the schedule is empty: the benign path below must stay
-        # byte-identical to the pre-adversary engine (A/B switch contract).
-        if config.adversary.enabled:
-            if config.adversary.has_jammers:
-                raise ValueError(
-                    "jammers require the contended transmission model"
-                )
-            self.adversary: Optional[AdversaryState] = AdversaryState(
-                config.adversary, network, ("task", task_id)
-            )
-        else:
-            self.adversary = None
-
-    def transmit(self, sender_id: int, decisions: Sequence[ForwardDecision]) -> None:
-        """Send the decided copies: charge energy, schedule the arrivals.
-
-        Copy aggregation follows the protocol's declaration (see
-        :attr:`RoutingProtocol.aggregates_copies`) unless the engine forces
-        a model: with aggregation, all copies of one forwarding step ride a
-        single broadcast frame (one transmission, one listener charge);
-        without, every copy is its own transmission.
-        """
-        if self.config.validate_decisions:
-            self._validate(sender_id, decisions)
-        live: List[ForwardDecision] = []
-        for decision in decisions:
-            if decision.packet.hop_count + 1 > self.config.max_path_length:
-                self.dropped_ttl += 1
-                continue
-            live.append(decision)
-        if not live:
-            return
-        if self.config.transmission_model == "broadcast":
-            aggregate = True
-        elif self.config.transmission_model == "unicast":
-            aggregate = False
-        else:  # "protocol" — each protocol declares its own frame usage.
-            aggregate = self.protocol.aggregates_copies
-        transmissions = 1 if aggregate else len(live)
-        frame_bytes = None  # Table-1 flat message size.
-        if self.config.charge_header_overhead:
-            payload = live[0].packet.payload_bytes
-            headers = sum(d.packet.header_size_bytes() for d in live)
-            if aggregate:
-                frame_bytes = payload + headers
-            else:
-                # Per-copy frames: charge the mean size per transmission.
-                frame_bytes = payload + max(1, headers // len(live))
-        airtime = self.network.radio.transmission_time(frame_bytes)
-        for _ in range(transmissions):
-            self.energy.record_transmission(
-                sender_id,
-                self.network.listeners_of(sender_id),
-                size_bytes=frame_bytes,
-            )
-        copy_records = []
-        for decision in live:
-            forwarded = decision.packet.hopped()
-            receiver = decision.next_hop_id
-            lost = self._copy_is_lost(receiver)
-            if self.trace is not None:
-                copy_records.append(
-                    CopyRecord(
-                        receiver_id=receiver,
-                        destination_ids=forwarded.destination_ids,
-                        hop_count=forwarded.hop_count,
-                        in_perimeter_mode=forwarded.in_perimeter_mode,
-                        lost=lost,
-                    )
-                )
-            if lost:
-                continue
-            self.simulator.schedule_after(
-                airtime + self.config.processing_delay_s,
-                lambda r=receiver, p=forwarded: self.receive(r, p),
-                label=f"rx@{receiver}",
-            )
-        if self.trace is not None:
-            self.trace.record(
-                FrameRecord(
-                    time_s=self.simulator.now,
-                    sender_id=sender_id,
-                    copies=tuple(copy_records),
-                    transmissions_charged=transmissions,
-                )
-            )
-
-    def _copy_is_lost(self, receiver_id: int) -> bool:
-        """Injected failure check for one in-flight copy."""
-        if receiver_id in self.config.failed_node_ids:
-            return True
-        if self.config.link_loss_rate > 0.0:
-            return bool(self._loss_rng.random() < self.config.link_loss_rate)
-        return False
-
-    def receive(self, node_id: int, packet: MulticastPacket) -> None:
-        """Arrival processing: record delivery, then let the protocol forward.
-
-        A dropper adversary swallows the packet *before* any bookkeeping:
-        a malicious group member suppresses even its own delivery.
-        """
-        if self.adversary is not None and self.adversary.should_drop(
-            node_id, packet
-        ):
-            return
-        if any(d.node_id == node_id for d in packet.destinations):
-            if node_id not in self.delivered_hops:
-                self.delivered_hops[node_id] = packet.hop_count
-            packet = packet.without_destination(node_id)
-        if not packet.destinations:
-            return
-        view: NodeView = NodeView(self.network, node_id)
-        if self.adversary is not None:
-            view = self.adversary.wrap_view(view)
-        decisions = self.protocol.handle(view, packet)
-        self.transmit(node_id, decisions)
-
-    def _validate(self, sender_id: int, decisions: Sequence[ForwardDecision]) -> None:
-        seen: set = set()
-        for decision in decisions:
-            if not self.network.are_neighbors(sender_id, decision.next_hop_id):
-                raise SimulationError(
-                    f"{self.protocol.name} forwarded from {sender_id} to "
-                    f"non-neighbor {decision.next_hop_id}"
-                )
-            if self.protocol.duplicates_allowed:
-                continue
-            for dest in decision.packet.destinations:
-                if dest.node_id in seen:
-                    raise SimulationError(
-                        f"{self.protocol.name} duplicated destination "
-                        f"{dest.node_id} across copies at node {sender_id}"
-                    )
-                seen.add(dest.node_id)
-
-
-def run_task(
-    network: WirelessNetwork,
-    protocol: RoutingProtocol,
-    source_id: int,
-    destination_ids: Sequence[int],
-    config: EngineConfig | None = None,
-    task_id: int = 0,
-    payload_bytes: int | None = None,
-    collect_trace: bool = False,
-) -> TaskResult:
-    """Execute one multicast task and return its measured outcome.
-
-    Args:
-        network: The deployed network (global state owned by the engine).
-        protocol: Forwarding discipline under test.
-        source_id: Originating node.
-        destination_ids: Target nodes; the source itself is filtered out.
-        config: Engine knobs (TTL etc.); defaults to :class:`EngineConfig`.
-        task_id: Id recorded in the result.
-        payload_bytes: Message size (defaults to the radio's Table-1 size).
-        collect_trace: Record every frame; the trace is attached to the
-            result as :attr:`TaskResult.trace`.
-
-    Returns:
-        A :class:`TaskResult`; ``result.success`` is False when any
-        destination was unreachable (void without recovery, TTL, injected
-        losses, or a disconnected topology for the centralized SMT
-        baseline).
-    """
-    cfg = config or DEFAULT_ENGINE_CONFIG
-    if cfg.transmission_model == "contended":
-        # One task is one session on the contended channel; the single
-        # protocol instance is safe to reuse as the session "factory".
-        return run_contended_tasks(
-            network,
-            [(task_id, source_id, tuple(destination_ids))],
-            lambda: protocol,
-            config=cfg,
-            payload_bytes=payload_bytes,
-            collect_trace=collect_trace,
-        )[0]
-    perf_before: Optional[Dict[str, float]] = (
-        GLOBAL_COUNTERS.snapshot() if cfg.collect_perf else None
-    )
-    unique_destinations = []
-    seen = set()
-    for d in destination_ids:
-        if d == source_id or d in seen:
-            continue
-        if not (0 <= d < network.node_count):
-            raise ValueError(f"destination {d} is not a node of the network")
-        seen.add(d)
-        unique_destinations.append(d)
-    if not (0 <= source_id < network.node_count):
-        raise ValueError(f"source {source_id} is not a node of the network")
-    if source_id in cfg.failed_node_ids:
-        raise ValueError(f"source {source_id} is marked as a failed node")
-
-    trace = TaskTrace() if (collect_trace or cfg.collect_traces) else None
-    execution = _TaskExecution(network, protocol, cfg, task_id, trace)
-    dest_tuple = tuple(unique_destinations)
-
-    def finish(transmissions: int = 0, energy: float = 0.0, duration: float = 0.0,
-               delivered: Optional[Dict[int, int]] = None) -> TaskResult:
-        per_node: Dict[int, float] = dict(execution.energy.tx_joules_by_node)
-        for node, joules in execution.energy.rx_joules_by_node.items():
-            per_node[node] = per_node.get(node, 0.0) + joules
-        perf = (
-            GLOBAL_COUNTERS.delta_since(perf_before)
-            if perf_before is not None
-            else None
-        )
-        if execution.adversary is not None and execution.adversary.counters:
-            merged: Dict[str, float] = dict(perf) if perf else {}
-            merged.update(execution.adversary.perf_counters())
-            perf = merged
-        return TaskResult(
-            task_id=task_id,
-            protocol=protocol.name,
-            source_id=source_id,
-            destination_ids=dest_tuple,
-            delivered_hops=delivered or {},
-            transmissions=transmissions,
-            energy_joules=energy,
-            duration_s=duration,
-            dropped_ttl=execution.dropped_ttl,
-            trace=trace,
-            hotspot_energy_joules=max(per_node.values(), default=0.0),
-            perf=perf,
-        )
-
-    if not dest_tuple:
-        return finish()
-
-    try:
-        protocol.prepare_task(network, source_id, dest_tuple)
-    except ValueError:
-        # Centralized preparation can fail outright on partitioned networks
-        # (e.g. KMB with unreachable terminals): the whole task fails.
-        return finish()
-
-    packet = MulticastPacket(
-        task_id=task_id,
-        source=Destination(source_id, network.location_of(source_id)),
-        destinations=tuple(
-            Destination(d, network.location_of(d)) for d in dest_tuple
-        ),
-        payload_bytes=payload_bytes or network.radio.message_size_bytes,
-    )
-    execution.simulator.schedule_at(
-        0.0, lambda: execution.receive(source_id, packet), label="task-start"
-    )
-    execution.simulator.run(max_events=cfg.max_events_per_task)
-
-    return finish(
-        transmissions=execution.energy.transmissions,
-        energy=execution.energy.total_joules,
-        duration=execution.simulator.now,
-        delivered=dict(execution.delivered_hops),
-    )
-
-
-class _ContendedSession:
-    """Mutable state of one multicast session on the contended channel."""
+class _Session:
+    """Mutable state of one multicast session (one source, many branches)."""
 
     __slots__ = (
         "task_id",
@@ -425,93 +150,373 @@ class _ContendedSession:
         "loss_rng",
         "start_s",
         "last_activity_s",
+        "started",
     )
 
     def __init__(
         self,
-        task_id: int,
-        source_id: int,
-        destination_ids: Tuple[int, ...],
+        task: Tuple[int, int, Tuple[int, ...]],
         protocol: RoutingProtocol,
-        meter: EnergyMeter,
-        trace: Optional[TaskTrace],
-        loss_rng: np.random.Generator,
-        start_s: float,
+        network: WirelessNetwork,
+        config: EngineConfig,
+        start_s: float = 0.0,
     ) -> None:
-        self.task_id = task_id
-        self.source_id = source_id
-        self.destination_ids = destination_ids
+        self.task_id, self.source_id, self.destination_ids = task
         self.protocol = protocol
-        self.meter = meter
+        self.meter = EnergyMeter(EnergyModel(network.radio))
         self.delivered_hops: Dict[int, int] = {}
         self.dropped_ttl = 0
-        self.trace = trace
-        self.loss_rng = loss_rng
+        self.trace = TaskTrace() if config.collect_traces else None
+        # Created unconditionally so that turning loss on/off cannot shift
+        # any *other* stream's draws, and a zero-rate config still owns a
+        # well-defined loss process (it just never consumes from it).
+        self.loss_rng = np.random.default_rng(
+            derive_seed(config.loss_seed, "loss", self.task_id)
+        )
         self.start_s = start_s
         self.last_activity_s = start_s
+        #: ``prepare_task`` succeeded and the first packet reached the source.
+        self.started = False
+
+    def loses_copy(self, loss_rate: float) -> bool:
+        """The injected Bernoulli loss coin for one in-flight copy."""
+        return loss_rate > 0.0 and bool(self.loss_rng.random() < loss_rate)
 
 
-class _ContendedRun:
-    """One simulator clock, one channel, many concurrent multicast sessions.
+def _copy_record(receiver_id: int, packet: MulticastPacket, lost: bool) -> CopyRecord:
+    return CopyRecord(
+        receiver_id=receiver_id,
+        destination_ids=packet.destination_ids,
+        hop_count=packet.hop_count,
+        in_perimeter_mode=packet.in_perimeter_mode,
+        lost=lost,
+    )
 
-    The routing semantics (validation, TTL, copy aggregation, header
-    accounting) intentionally mirror :class:`_TaskExecution` line for line;
-    only the medium differs — frames go through :class:`LinkLayer` queues
-    instead of arriving exactly one airtime later.
+
+class _ForwardingCore:
+    """The per-hop forwarding loop for a set of sessions; subclasses are media.
+
+    The medium carries the hopped copies (:meth:`send`), supplies each
+    node's routing view (:meth:`view`), sets the run's horizon and event
+    budget (:meth:`launch`), and reports a session's duration and perf
+    counters.  It also realizes the adversary cast in ``self.adversary``
+    (None when the schedule is empty: the benign path stays byte-identical
+    to the adversary-free engine, the A/B switch contract).
     """
+
+    #: Forced aggregation, or None to honour each protocol's own.
+    framing: Optional[bool] = None
+    #: Views are the graph oracle, which the adversary's spoof/suppress
+    #: distortion wraps (a beacon process feeds it into tables instead).
+    oracle_views = True
+    #: Energy a session that never started reports: its empty meter's sum.
+    idle_energy: float = 0
 
     def __init__(
         self,
         network: WirelessNetwork,
-        tasks: Sequence[Tuple[int, int, Tuple[int, ...]]],
-        protocol_factory: Callable[[], RoutingProtocol],
         config: EngineConfig,
-        start_times: Sequence[float],
+        sessions: Sequence[_Session],
         payload_bytes: Optional[int],
-        collect_trace: bool,
     ) -> None:
         self.network = network
         self.config = config
-        self.payload_bytes = payload_bytes
+        #: Keyed by task id, in submission order.
+        self.sessions: Dict[int, _Session] = {s.task_id: s for s in sessions}
+        self.payload_bytes = payload_bytes or network.radio.message_size_bytes
         self.simulator = Simulator()
-        self.order: List[int] = [task_id for task_id, _, _ in tasks]
-        want_trace = collect_trace or config.collect_traces
-        self.sessions: Dict[int, _ContendedSession] = {}
-        for (task_id, source_id, dest_ids), start_s in zip(tasks, start_times):
-            self.sessions[task_id] = _ContendedSession(
-                task_id=task_id,
-                source_id=source_id,
-                destination_ids=dest_ids,
-                protocol=protocol_factory(),
-                meter=EnergyMeter(EnergyModel(network.radio)),
-                trace=TaskTrace() if want_trace else None,
-                loss_rng=np.random.default_rng(
-                    derive_seed(config.loss_seed, "loss", task_id)
-                ),
-                start_s=start_s,
+        self.adversary: Optional[AdversaryState] = None
+
+    # ----------------------------------------------------------- the medium
+
+    def launch(self) -> Tuple[Optional[float], int]:
+        """Start the medium's own processes; the horizon and event budget."""
+        raise NotImplementedError
+
+    def view(self, node_id: int) -> NodeView:
+        raise NotImplementedError
+
+    def send(
+        self,
+        session: _Session,
+        sender_id: int,
+        copies: Sequence[Tuple[int, MulticastPacket]],
+        aggregate: bool,
+        frame_bytes: Optional[int],
+    ) -> None:
+        raise NotImplementedError
+
+    def duration(self, session: _Session) -> float:
+        raise NotImplementedError
+
+    def perf(self, session: _Session) -> Optional[Dict[str, float]]:
+        raise NotImplementedError
+
+    # ------------------------------------------------------ forwarding loop
+
+    def run(self) -> List[TaskResult]:
+        for session in self.sessions.values():
+            if session.destination_ids:
+                self.simulator.schedule_at(
+                    session.start_s,
+                    lambda s=session: self.start(s),
+                    label=f"session-start@{session.task_id}",
+                )
+        until, max_events = self.launch()
+        self.simulator.run(until=until, max_events=max_events)
+        return [self._result(session) for session in self.sessions.values()]
+
+    def start(self, session: _Session) -> None:
+        """Prepare the protocol and hand the first packet to the source."""
+        network = self.network
+        try:
+            session.protocol.prepare_task(
+                network, session.source_id, session.destination_ids
             )
+        except ValueError:
+            # Centralized preparation can fail outright on partitioned
+            # networks (e.g. KMB with unreachable terminals): the whole
+            # session fails without sending anything.
+            return
+        session.started = True
+        packet = MulticastPacket(
+            task_id=session.task_id,
+            source=Destination(
+                session.source_id, network.location_of(session.source_id)
+            ),
+            destinations=tuple(
+                Destination(d, network.location_of(d))
+                for d in session.destination_ids
+            ),
+            payload_bytes=self.payload_bytes,
+        )
+        self.receive(session, session.source_id, packet)
+
+    def receive(
+        self, session: _Session, node_id: int, packet: MulticastPacket
+    ) -> None:
+        """Arrival processing: record delivery, then let the protocol forward.
+
+        A dropper adversary swallows the packet *before* any bookkeeping:
+        a malicious group member suppresses even its own delivery.
+        """
+        if self.adversary is not None and self.adversary.should_drop(
+            node_id, packet
+        ):
+            return
+        if any(d.node_id == node_id for d in packet.destinations):
+            if node_id not in session.delivered_hops:
+                session.delivered_hops[node_id] = packet.hop_count
+            packet = packet.without_destination(node_id)
+        if not packet.destinations:
+            return
+        view = self.view(node_id)
+        if self.adversary is not None and self.oracle_views:
+            view = self.adversary.wrap_view(view)
+        self.transmit(session, node_id, session.protocol.handle(view, packet))
+
+    def transmit(
+        self,
+        session: _Session,
+        sender_id: int,
+        decisions: Sequence[ForwardDecision],
+    ) -> None:
+        """Hand the decided copies that survive the TTL to the medium.
+
+        Copy aggregation follows the protocol's declaration (see
+        :attr:`RoutingProtocol.aggregates_copies`) unless the medium forces
+        a framing: aggregated, all copies of one forwarding step ride a
+        single broadcast frame; otherwise every copy is its own frame.
+        """
+        if self.config.validate_decisions:
+            self._validate(session.protocol, sender_id, decisions)
+        live: List[ForwardDecision] = []
+        for decision in decisions:
+            if decision.packet.hop_count + 1 > self.config.max_path_length:
+                session.dropped_ttl += 1
+                continue
+            live.append(decision)
+        if not live:
+            return
+        aggregate = self.framing
+        if aggregate is None:
+            aggregate = session.protocol.aggregates_copies
+        frame_bytes = None  # Table-1 flat message size.
+        if self.config.charge_header_overhead:
+            payload = live[0].packet.payload_bytes
+            headers = sum(d.packet.header_size_bytes() for d in live)
+            if aggregate:
+                frame_bytes = payload + headers
+            else:
+                # Per-copy frames: charge the mean size per transmission.
+                frame_bytes = payload + max(1, headers // len(live))
+        copies = [(d.next_hop_id, d.packet.hopped()) for d in live]
+        self.send(session, sender_id, copies, aggregate, frame_bytes)
+
+    def _validate(
+        self,
+        protocol: RoutingProtocol,
+        sender_id: int,
+        decisions: Sequence[ForwardDecision],
+    ) -> None:
+        seen: set = set()
+        for decision in decisions:
+            if not self.network.are_neighbors(sender_id, decision.next_hop_id):
+                raise SimulationError(
+                    f"{protocol.name} forwarded from {sender_id} to "
+                    f"non-neighbor {decision.next_hop_id}"
+                )
+            if protocol.duplicates_allowed:
+                continue
+            for dest in decision.packet.destinations:
+                if dest.node_id in seen:
+                    raise SimulationError(
+                        f"{protocol.name} duplicated destination "
+                        f"{dest.node_id} across copies at node {sender_id}"
+                    )
+                seen.add(dest.node_id)
+
+    def _result(self, session: _Session) -> TaskResult:
+        meter = session.meter
+        per_node: Dict[int, float] = dict(meter.tx_joules_by_node)
+        for node, joules in meter.rx_joules_by_node.items():
+            per_node[node] = per_node.get(node, 0.0) + joules
+        return TaskResult(
+            task_id=session.task_id,
+            protocol=session.protocol.name,
+            source_id=session.source_id,
+            destination_ids=session.destination_ids,
+            delivered_hops=dict(session.delivered_hops),
+            transmissions=meter.transmissions,
+            energy_joules=(
+                meter.total_joules if session.started else self.idle_energy
+            ),
+            duration_s=self.duration(session),
+            dropped_ttl=session.dropped_ttl,
+            trace=session.trace,
+            hotspot_energy_joules=max(per_node.values(), default=0.0),
+            perf=self.perf(session),
+        )
+
+
+class _IdealMedium(_ForwardingCore):
+    """The core over the contention-free channel: one task, exact airtime."""
+
+    # Digests hash ``repr``, and this medium reports a task that never
+    # started as 0.0 J, not as the integer 0.
+    idle_energy = 0.0
+
+    def __init__(
+        self,
+        network: WirelessNetwork,
+        config: EngineConfig,
+        session: _Session,
+        payload_bytes: Optional[int],
+    ) -> None:
+        super().__init__(network, config, [session], payload_bytes)
+        self.framing = {"broadcast": True, "unicast": False}.get(
+            config.transmission_model
+        )
+        if config.adversary.enabled:
+            if config.adversary.has_jammers:
+                raise ValueError(
+                    "jammers require the contended transmission model"
+                )
+            self.adversary = AdversaryState(
+                config.adversary, network, ("task", session.task_id)
+            )
+
+    def launch(self) -> Tuple[Optional[float], int]:
+        return None, self.config.max_events_per_task
+
+    def view(self, node_id: int) -> NodeView:
+        return NodeView(self.network, node_id)
+
+    def send(
+        self,
+        session: _Session,
+        sender_id: int,
+        copies: Sequence[Tuple[int, MulticastPacket]],
+        aggregate: bool,
+        frame_bytes: Optional[int],
+    ) -> None:
+        """Charge the energy, apply the injected failures, schedule arrivals."""
+        network, config = self.network, self.config
+        transmissions = 1 if aggregate else len(copies)
+        airtime = network.radio.transmission_time(frame_bytes)
+        for _ in range(transmissions):
+            session.meter.record_transmission(
+                sender_id,
+                network.listeners_of(sender_id),
+                size_bytes=frame_bytes,
+            )
+        records = []
+        for receiver, packet in copies:
+            # A crashed receiver loses the copy without a loss-coin draw.
+            lost = receiver in config.failed_node_ids or session.loses_copy(
+                config.link_loss_rate
+            )
+            if session.trace is not None:
+                records.append(_copy_record(receiver, packet, lost))
+            if lost:
+                continue
+            # One event per arrival: splitting airtime and processing delay
+            # into two events would round the clock differently.
+            self.simulator.schedule_after(
+                airtime + config.processing_delay_s,
+                lambda r=receiver, p=packet: self.receive(session, r, p),
+                label=f"rx@{receiver}",
+            )
+        if session.trace is not None:
+            session.trace.record(
+                FrameRecord(
+                    time_s=self.simulator.now,
+                    sender_id=sender_id,
+                    copies=tuple(records),
+                    transmissions_charged=transmissions,
+                )
+            )
+
+    def duration(self, session: _Session) -> float:
+        del session  # one task per run: its last event ends it
+        return self.simulator.now
+
+    def perf(self, session: _Session) -> Optional[Dict[str, float]]:
+        del session
+        if self.adversary is not None and self.adversary.counters:
+            return self.adversary.perf_counters()
+        return None
+
+
+class _CsmaMedium(_ForwardingCore):
+    """The core over the contended channel: sessions share a :class:`LinkLayer`."""
+
+    def __init__(
+        self,
+        network: WirelessNetwork,
+        config: EngineConfig,
+        sessions: Sequence[_Session],
+        payload_bytes: Optional[int],
+    ) -> None:
+        super().__init__(network, config, sessions, payload_bytes)
+        order = tuple(self.sessions)
         #: Energy of traffic owned by no session (HELLO beacons).
         self.infra_meter = EnergyMeter(EnergyModel(network.radio))
-        streams = RandomStreams(
-            derive_seed(config.loss_seed, "mac", tuple(self.order))
-        )
-        # None when the schedule is empty: the LinkLayer then gets its
-        # exact pre-adversary arguments, keeping benign contended runs
-        # byte-identical (A/B switch contract).  The counter hook routes
-        # behavior tallies into the link stats' ``adv.*`` bucket;
-        # ``self.link`` exists before any bump can fire.
-        self.adversary: Optional[AdversaryState] = (
-            AdversaryState(
+        streams = RandomStreams(derive_seed(config.loss_seed, "mac", order))
+        # The LinkLayer gets its exact pre-adversary arguments for an empty
+        # schedule.  The counter hook routes behavior tallies into the link
+        # stats' ``adv.*`` bucket; ``self.link`` exists before any bump can
+        # fire.
+        if config.adversary.enabled:
+            self.adversary = AdversaryState(
                 config.adversary,
                 network,
-                ("run", tuple(self.order)),
+                ("run", order),
                 on_count=lambda key, amount: self.link.stats.bump_adv(
                     key, amount
                 ),
             )
-            if config.adversary.enabled
-            else None
-        )
+        adversary = self.adversary
         self.link = LinkLayer(
             network=network,
             simulator=self.simulator,
@@ -521,20 +526,77 @@ class _ContendedRun:
             deliver=self._deliver,
             charge=self._charge,
             copy_loss=self._copy_loss,
-            on_frame=self._on_frame if want_trace else None,
+            on_frame=self._on_frame if config.collect_traces else None,
             advertised_location=(
-                self.adversary.advertised_location
-                if self.adversary is not None and self.adversary.distorts_views
+                adversary.advertised_location
+                if adversary is not None and adversary.distorts_views
                 else None
             ),
             beacon_silenced=(
-                self.adversary.suppressed
-                if self.adversary is not None
-                else frozenset()
+                adversary.suppressed if adversary is not None else frozenset()
             ),
         )
+        self.oracle_views = self.link.beacon_service is None
+
+    def launch(self) -> Tuple[Optional[float], int]:
+        """Start beacons and jammers after the sessions' start events."""
+        config, link = self.config, self.link
+        horizon = (
+            max(session.start_s for session in self.sessions.values())
+            + config.link.session_timeout_s
+        )
+        link.start_beacons(horizon)
+        max_events = config.max_events_per_task * len(self.sessions)
+        if config.link.beacons:
+            ticks = int(horizon / config.link.beacon_period_s) + 2
+            max_events += ticks * self.network.node_count * 8
+        if self.adversary is not None:
+            jam_frames = self.adversary.start_jammers(
+                link, horizon, config.failed_node_ids
+            )
+            # Every jam frame is a schedule + finish event; widen the
+            # budget so saturation cannot masquerade as a routing loop.
+            max_events += jam_frames * 4
+        return horizon, max_events
+
+    def view(self, node_id: int) -> NodeView:
+        return self.link.view(node_id)
+
+    def send(
+        self,
+        session: _Session,
+        sender_id: int,
+        copies: Sequence[Tuple[int, MulticastPacket]],
+        aggregate: bool,
+        frame_bytes: Optional[int],
+    ) -> None:
+        """Queue the DATA frame(s) at the sender's MAC."""
+        frames = [copies] if aggregate else [[copy] for copy in copies]
+        for frame in frames:
+            self.link.send_data(session.task_id, sender_id, frame, frame_bytes)
+        session.last_activity_s = self.simulator.now
+
+    def duration(self, session: _Session) -> float:
+        return max(session.last_activity_s - session.start_s, 0.0)
+
+    def perf(self, session: _Session) -> Optional[Dict[str, float]]:
+        return self.link.stats.session_perf(session.task_id)
 
     # ------------------------------------------------------ link callbacks
+
+    def _deliver(
+        self, session_id: int, receiver_id: int, packet: MulticastPacket
+    ) -> None:
+        session = self.sessions[session_id]
+        session.last_activity_s = self.simulator.now
+        if self.config.processing_delay_s > 0.0:
+            self.simulator.schedule_after(
+                self.config.processing_delay_s,
+                lambda: self.receive(session, receiver_id, packet),
+                label=f"rx@{receiver_id}",
+            )
+        else:
+            self.receive(session, receiver_id, packet)
 
     def _charge(
         self,
@@ -557,10 +619,7 @@ class _ContendedRun:
 
     def _copy_loss(self, session_id: int, receiver_id: int) -> bool:
         del receiver_id  # the Bernoulli coin is per copy, not per receiver
-        if self.config.link_loss_rate <= 0.0:
-            return False
-        session = self.sessions[session_id]
-        return bool(session.loss_rng.random() < self.config.link_loss_rate)
+        return self.sessions[session_id].loses_copy(self.config.link_loss_rate)
 
     def _on_frame(
         self,
@@ -573,196 +632,88 @@ class _ContendedRun:
     ) -> None:
         if session_id is None or kind != DATA:
             return  # control traffic stays out of session traces
-        session = self.sessions[session_id]
-        if session.trace is None:
+        trace = self.sessions[session_id].trace
+        if trace is None:
             return
-        records = tuple(
-            CopyRecord(
-                receiver_id=receiver_id,
-                destination_ids=packet.destination_ids,
-                hop_count=packet.hop_count,
-                in_perimeter_mode=packet.in_perimeter_mode,
-                lost=lost,
-            )
-            for receiver_id, packet, lost in outcomes
-        )
-        session.trace.record(
+        trace.record(
             FrameRecord(
                 time_s=start_s,
                 sender_id=sender_id,
-                copies=records,
+                copies=tuple(_copy_record(*outcome) for outcome in outcomes),
                 transmissions_charged=1,
                 kind=kind,
                 retry=retry,
             )
         )
 
-    def _deliver(
-        self, session_id: int, receiver_id: int, packet: MulticastPacket
-    ) -> None:
-        session = self.sessions[session_id]
-        session.last_activity_s = self.simulator.now
-        if self.config.processing_delay_s > 0.0:
-            self.simulator.schedule_after(
-                self.config.processing_delay_s,
-                lambda: self._receive(session, receiver_id, packet),
-                label=f"rx@{receiver_id}",
-            )
-        else:
-            self._receive(session, receiver_id, packet)
 
-    # --------------------------------------------------------- routing path
+def _normalize_tasks(
+    network: WirelessNetwork,
+    config: EngineConfig,
+    tasks: Sequence[Tuple[int, int, Sequence[int]]],
+) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """Check ids and drop the source and repeats from each destination list."""
+    seen_ids: set = set()
+    normalized: List[Tuple[int, int, Tuple[int, ...]]] = []
+    for task_id, source_id, destination_ids in tasks:
+        if task_id in seen_ids:
+            raise ValueError(f"duplicate task id {task_id} in one run")
+        seen_ids.add(task_id)
+        if not (0 <= source_id < network.node_count):
+            raise ValueError(f"source {source_id} is not a node of the network")
+        if source_id in config.failed_node_ids:
+            raise ValueError(f"source {source_id} is marked as a failed node")
+        unique = tuple(dict.fromkeys(d for d in destination_ids if d != source_id))
+        for d in unique:
+            if not (0 <= d < network.node_count):
+                raise ValueError(f"destination {d} is not a node of the network")
+        normalized.append((task_id, source_id, unique))
+    return normalized
 
-    def _receive(
-        self, session: _ContendedSession, node_id: int, packet: MulticastPacket
-    ) -> None:
-        if self.adversary is not None and self.adversary.should_drop(
-            node_id, packet
-        ):
-            return
-        if any(d.node_id == node_id for d in packet.destinations):
-            if node_id not in session.delivered_hops:
-                session.delivered_hops[node_id] = packet.hop_count
-            packet = packet.without_destination(node_id)
-        if not packet.destinations:
-            return
-        view = self.link.view(node_id)
-        if self.adversary is not None and self.link.beacon_service is None:
-            # Without beacons the view is the graph oracle; apply the same
-            # spoof/suppress distortion the beacon process would have fed it.
-            view = self.adversary.wrap_view(view)
-        decisions = session.protocol.handle(view, packet)
-        self._transmit(session, node_id, decisions)
 
-    def _transmit(
-        self,
-        session: _ContendedSession,
-        sender_id: int,
-        decisions: Sequence[ForwardDecision],
-    ) -> None:
-        if self.config.validate_decisions:
-            self._validate(session, sender_id, decisions)
-        live: List[ForwardDecision] = []
-        for decision in decisions:
-            if decision.packet.hop_count + 1 > self.config.max_path_length:
-                session.dropped_ttl += 1
-                continue
-            live.append(decision)
-        if not live:
-            return
-        # "contended" honours each protocol's framing, like "protocol".
-        aggregate = session.protocol.aggregates_copies
-        frame_bytes = None  # Table-1 flat message size.
-        if self.config.charge_header_overhead:
-            payload = live[0].packet.payload_bytes
-            headers = sum(d.packet.header_size_bytes() for d in live)
-            if aggregate:
-                frame_bytes = payload + headers
-            else:
-                frame_bytes = payload + max(1, headers // len(live))
-        copies = [(d.next_hop_id, d.packet.hopped()) for d in live]
-        if aggregate:
-            self.link.send_data(session.task_id, sender_id, copies, frame_bytes)
-        else:
-            for copy in copies:
-                self.link.send_data(
-                    session.task_id, sender_id, [copy], frame_bytes
-                )
-        session.last_activity_s = self.simulator.now
+def run_task(
+    network: WirelessNetwork,
+    protocol: RoutingProtocol,
+    source_id: int,
+    destination_ids: Sequence[int],
+    config: EngineConfig | None = None,
+    task_id: int = 0,
+    payload_bytes: int | None = None,
+) -> TaskResult:
+    """Execute one multicast task and return its measured outcome.
 
-    def _validate(
-        self,
-        session: _ContendedSession,
-        sender_id: int,
-        decisions: Sequence[ForwardDecision],
-    ) -> None:
-        seen: set = set()
-        for decision in decisions:
-            if not self.network.are_neighbors(sender_id, decision.next_hop_id):
-                raise SimulationError(
-                    f"{session.protocol.name} forwarded from {sender_id} to "
-                    f"non-neighbor {decision.next_hop_id}"
-                )
-            if session.protocol.duplicates_allowed:
-                continue
-            for dest in decision.packet.destinations:
-                if dest.node_id in seen:
-                    raise SimulationError(
-                        f"{session.protocol.name} duplicated destination "
-                        f"{dest.node_id} across copies at node {sender_id}"
-                    )
-                seen.add(dest.node_id)
+    Args:
+        network: The deployed network (global state owned by the engine).
+        protocol: Forwarding discipline under test.
+        source_id: Originating node.
+        destination_ids: Target nodes; the source itself is filtered out.
+        config: Engine knobs (TTL etc.); defaults to :class:`EngineConfig`.
+            With ``collect_traces`` the task's frames are attached to the
+            result as :attr:`TaskResult.trace`.
+        task_id: Id recorded in the result.
+        payload_bytes: Message size (defaults to the radio's Table-1 size).
 
-    # ------------------------------------------------------------ execution
-
-    def _start_session(self, session: _ContendedSession) -> None:
-        try:
-            session.protocol.prepare_task(
-                self.network, session.source_id, session.destination_ids
-            )
-        except ValueError:
-            return  # centralized preparation failed; session never starts
-        packet = MulticastPacket(
-            task_id=session.task_id,
-            source=Destination(
-                session.source_id, self.network.location_of(session.source_id)
-            ),
-            destinations=tuple(
-                Destination(d, self.network.location_of(d))
-                for d in session.destination_ids
-            ),
-            payload_bytes=self.payload_bytes
-            or self.network.radio.message_size_bytes,
-        )
-        self._receive(session, session.source_id, packet)
-
-    def run(self) -> List[TaskResult]:
-        horizon = (
-            max(session.start_s for session in self.sessions.values())
-            + self.config.link.session_timeout_s
-        )
-        for task_id in self.order:
-            session = self.sessions[task_id]
-            if session.destination_ids:
-                self.simulator.schedule_at(
-                    session.start_s,
-                    lambda s=session: self._start_session(s),
-                    label=f"session-start@{task_id}",
-                )
-        self.link.start_beacons(horizon)
-        max_events = self.config.max_events_per_task * max(1, len(self.order))
-        if self.config.link.beacons:
-            ticks = int(horizon / self.config.link.beacon_period_s) + 2
-            max_events += ticks * self.network.node_count * 8
-        if self.adversary is not None:
-            jam_frames = self.adversary.start_jammers(
-                self.link, horizon, self.config.failed_node_ids
-            )
-            # Every jam frame is a schedule + finish event; widen the
-            # budget so saturation cannot masquerade as a routing loop.
-            max_events += jam_frames * 4
-        self.simulator.run(until=horizon, max_events=max_events)
-        return [self._result_of(task_id) for task_id in self.order]
-
-    def _result_of(self, task_id: int) -> TaskResult:
-        session = self.sessions[task_id]
-        per_node: Dict[int, float] = dict(session.meter.tx_joules_by_node)
-        for node, joules in session.meter.rx_joules_by_node.items():
-            per_node[node] = per_node.get(node, 0.0) + joules
-        return TaskResult(
-            task_id=task_id,
-            protocol=session.protocol.name,
-            source_id=session.source_id,
-            destination_ids=session.destination_ids,
-            delivered_hops=dict(session.delivered_hops),
-            transmissions=session.meter.transmissions,
-            energy_joules=session.meter.total_joules,
-            duration_s=max(session.last_activity_s - session.start_s, 0.0),
-            dropped_ttl=session.dropped_ttl,
-            trace=session.trace,
-            hotspot_energy_joules=max(per_node.values(), default=0.0),
-            perf=self.link.stats.session_perf(task_id),
-        )
+    Returns:
+        A :class:`TaskResult`; ``result.success`` is False when any
+        destination was unreachable (void without recovery, TTL, injected
+        losses, or a disconnected topology for the centralized SMT
+        baseline).  ``result.perf`` carries the adversary's ``adv.*``
+        counters, or None when no adversary acted.
+    """
+    cfg = config or DEFAULT_ENGINE_CONFIG
+    if cfg.transmission_model == "contended":
+        # One task is one session on the contended channel; the single
+        # protocol instance is safe to reuse as the session "factory".
+        return run_contended_tasks(
+            network,
+            [(task_id, source_id, tuple(destination_ids))],
+            lambda: protocol,
+            config=cfg,
+            payload_bytes=payload_bytes,
+        )[0]
+    (task,) = _normalize_tasks(network, cfg, [(task_id, source_id, destination_ids)])
+    session = _Session(task, protocol, network, cfg)
+    return _IdealMedium(network, cfg, session, payload_bytes).run()[0]
 
 
 def run_contended_tasks(
@@ -772,7 +723,6 @@ def run_contended_tasks(
     config: EngineConfig | None = None,
     start_times: Sequence[float] | None = None,
     payload_bytes: int | None = None,
-    collect_trace: bool = False,
 ) -> List[TaskResult]:
     """Run multicast sessions concurrently over the contended link layer.
 
@@ -789,18 +739,18 @@ def run_contended_tasks(
             not share).
         config: Engine knobs; :attr:`EngineConfig.link` configures the MAC.
             ``transmission_model`` is not consulted — calling this function
-            *is* choosing the contended model.
+            *is* choosing the contended model.  With ``collect_traces``
+            each session gets a :class:`TaskTrace` of its DATA frames
+            (including retransmissions; control traffic excluded).
         start_times: Session start time (seconds of virtual time) per task,
             defaulting to all-zero (maximum contention).  The run ends
             :attr:`LinkLayerConfig.session_timeout_s` after the last start.
         payload_bytes: Message size (defaults to the radio's Table-1 size).
-        collect_trace: Attach a per-session :class:`TaskTrace` of DATA
-            frames (including retransmissions; control traffic excluded).
 
     Returns:
-        One :class:`TaskResult` per task, in submission order.
-        ``result.perf`` carries the session's link-layer counters
-        (``mac.*``) plus the run-global infrastructure counters
+        One :class:`TaskResult` per task, in submission order (empty for
+        no tasks).  ``result.perf`` carries the session's link-layer
+        counters (``mac.*``) plus the run-global infrastructure counters
         (``link.*``) — instrumentation, excluded from digests.
     """
     cfg = config or DEFAULT_ENGINE_CONFIG
@@ -810,36 +760,14 @@ def run_contended_tasks(
         raise ValueError(
             f"{len(tasks)} tasks but {len(start_times)} start times"
         )
-    seen_ids: set = set()
-    normalized: List[Tuple[int, int, Tuple[int, ...]]] = []
-    for task_id, source_id, destination_ids in tasks:
-        if task_id in seen_ids:
-            raise ValueError(f"duplicate task id {task_id} in contended run")
-        seen_ids.add(task_id)
-        if not (0 <= source_id < network.node_count):
-            raise ValueError(f"source {source_id} is not a node of the network")
-        if source_id in cfg.failed_node_ids:
-            raise ValueError(f"source {source_id} is marked as a failed node")
-        unique: List[int] = []
-        dest_seen: set = set()
-        for d in destination_ids:
-            if d == source_id or d in dest_seen:
-                continue
-            if not (0 <= d < network.node_count):
-                raise ValueError(f"destination {d} is not a node of the network")
-            dest_seen.add(d)
-            unique.append(d)
-        normalized.append((task_id, source_id, tuple(unique)))
+    normalized = _normalize_tasks(network, cfg, tasks)
     for start in start_times:
         if start < 0.0:
             raise ValueError(f"session start times must be >= 0, got {start}")
-    run = _ContendedRun(
-        network=network,
-        tasks=normalized,
-        protocol_factory=protocol_factory,
-        config=cfg,
-        start_times=start_times,
-        payload_bytes=payload_bytes,
-        collect_trace=collect_trace,
-    )
-    return run.run()
+    if not normalized:
+        return []
+    sessions = [
+        _Session(task, protocol_factory(), network, cfg, start_s)
+        for task, start_s in zip(normalized, start_times)
+    ]
+    return _CsmaMedium(network, cfg, sessions, payload_bytes).run()

@@ -31,12 +31,14 @@ class TaskResult:
         energy_joules: Total energy charged (senders + all listeners).
         duration_s: Virtual time from first transmission to quiescence.
         dropped_ttl: Transmissions suppressed by the hop-count TTL.
-        trace: Full on-air history (only when the task was run with
-            ``collect_trace=True``).
-        perf: Per-task perf-cache counter movement (only when run under
-            ``EngineConfig(collect_perf=True)``).  Instrumentation, not a
-            simulation outcome: excluded from result digests, and two runs
-            may legitimately differ here while being simulation-identical.
+        trace: Full on-air history (only when the task was run under
+            ``EngineConfig(collect_traces=True)``).
+        perf: Digest-excluded counters of what the run did: the
+            adversary's ``adv.*`` tallies and, on the contended engine, the
+            link layer's ``mac.*``/``link.*`` counters; None on a benign
+            ideal-channel task.  Instrumentation, not a simulation outcome:
+            excluded from result digests, and two runs may legitimately
+            differ here while being simulation-identical.
     """
 
     task_id: int

@@ -1,5 +1,7 @@
 """Tests for the canonical task-result digests."""
 
+import dataclasses
+
 import numpy as np
 
 from repro.engine import EngineConfig, batch_digest, run_task, task_digest
@@ -39,14 +41,11 @@ class TestTaskDigest:
 
     def test_perf_instrumentation_excluded(self):
         network = _network()
-        plain = run_task(network, GMPProtocol(), 0, [40, 90, 150])
-        instrumented = run_task(
-            network, GMPProtocol(), 0, [40, 90, 150],
-            config=EngineConfig(collect_perf=True),
-        )
-        assert instrumented.perf is not None
-        assert plain.perf is None
-        assert task_digest(plain) == task_digest(instrumented)
+        config = EngineConfig(transmission_model="contended", collect_traces=True)
+        instrumented = run_task(network, GMPProtocol(), 0, [40, 90, 150], config=config)
+        assert instrumented.perf
+        stripped = dataclasses.replace(instrumented, perf=None)
+        assert task_digest(stripped) == task_digest(instrumented)
 
 
 class TestBatchDigest:
@@ -75,7 +74,6 @@ class TestDigestFieldPolicy:
     }
 
     def _actual_fields(self, class_name):
-        import dataclasses
         import importlib
 
         cls = getattr(importlib.import_module(self.RECORDS[class_name]), class_name)

@@ -9,6 +9,8 @@ from repro.routing.grd import GRDProtocol
 from tests.conftest import make_line_network
 from tests.routing.helpers import network_from_points
 
+TRACING = EngineConfig(collect_traces=True)
+
 
 class TestTracing:
     def test_no_trace_by_default(self):
@@ -18,7 +20,7 @@ class TestTracing:
 
     def test_trace_records_every_frame(self):
         net = make_line_network(4, spacing=100.0)
-        result = run_task(net, GMPProtocol(), 0, [3], collect_trace=True)
+        result = run_task(net, GMPProtocol(), 0, [3], config=TRACING)
         trace = result.trace
         assert trace is not None
         assert len(trace.frames) == result.transmissions
@@ -29,13 +31,13 @@ class TestTracing:
         net = network_from_points(
             [Point(0, 0), Point(100, 0), Point(-100, 0)], radio_range=150.0
         )
-        result = run_task(net, GMPProtocol(), 0, [1, 2], collect_trace=True)
+        result = run_task(net, GMPProtocol(), 0, [1, 2], config=TRACING)
         assert result.trace.split_events() == 1
         assert result.trace.fanout_histogram() == {2: 1}
 
     def test_total_meters(self):
         net = make_line_network(3, spacing=100.0)
-        result = run_task(net, GMPProtocol(), 0, [2], collect_trace=True)
+        result = run_task(net, GMPProtocol(), 0, [2], config=TRACING)
         assert result.trace.total_meters(net) == pytest.approx(200.0)
         assert result.trace.mean_hop_meters(net) == pytest.approx(100.0)
 
@@ -46,7 +48,7 @@ class TestTracing:
             [Point(0, 0), Point(100, 0), Point(-120, 200), Point(30, 130)],
             radio_range=150.0,
         )
-        result = run_task(net, GMPProtocol(), 0, [2], collect_trace=True)
+        result = run_task(net, GMPProtocol(), 0, [2], config=TRACING)
         assert result.trace.perimeter_copy_count() >= 1
 
 
@@ -63,8 +65,7 @@ class TestLinkLoss:
         net = make_line_network(3, spacing=100.0)
         result = run_task(
             net, GMPProtocol(), 0, [2],
-            config=EngineConfig(link_loss_rate=0.999999),
-            collect_trace=True,
+            config=EngineConfig(link_loss_rate=0.999999, collect_traces=True),
         )
         assert not result.success
         assert result.transmissions == 1  # The frame was sent and paid for.
@@ -103,8 +104,9 @@ class TestFailedNodes:
         net = make_line_network(5, spacing=100.0)
         result = run_task(
             net, GMPProtocol(), 0, [4],
-            config=EngineConfig(failed_node_ids=frozenset({2})),
-            collect_trace=True,
+            config=EngineConfig(
+                failed_node_ids=frozenset({2}), collect_traces=True
+            ),
         )
         assert not result.success
         assert result.trace.lost_copy_count() >= 1

@@ -70,7 +70,7 @@ class TestFigure9:
         scenario = figure9_network()
         result = run_task(
             scenario.network, GMPProtocol(), scenario.source_id,
-            scenario.destination_ids, collect_trace=True,
+            scenario.destination_ids, config=EngineConfig(collect_traces=True),
         )
         assert result.success
         first_frame = result.trace.frames[0]
@@ -95,7 +95,7 @@ class TestFigure10:
         scenario = figure10_network()
         result = run_task(
             scenario.network, GMPProtocol(), scenario.source_id,
-            scenario.destination_ids, collect_trace=True,
+            scenario.destination_ids, config=EngineConfig(collect_traces=True),
         )
         assert result.success
         first = result.trace.frames[0]
@@ -108,7 +108,7 @@ class TestFigure10:
         scenario = figure10_network()
         result = run_task(
             scenario.network, PBMProtocol(), scenario.source_id,
-            scenario.destination_ids, collect_trace=True,
+            scenario.destination_ids, config=EngineConfig(collect_traces=True),
         )
         first = result.trace.frames[0]
         peri = [c for c in first.copies if c.in_perimeter_mode]

@@ -20,7 +20,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 _SCENARIO = """
 import hashlib, json
-from repro.engine import run_task
+from repro.engine import EngineConfig, run_task
 from repro.experiments.config import PaperConfig
 from repro.experiments.sweep import make_network
 from repro.sessions.workload import generate_tasks
@@ -40,8 +40,8 @@ for protocol in (GMPProtocol(), PBMProtocol(lam=0.3), SMTProtocol()):
             protocol,
             task.source_id,
             task.destination_ids,
+            config=EngineConfig(collect_traces=True),
             task_id=task.task_id,
-            collect_trace=True,
         )
         frames = [
             [

@@ -45,10 +45,8 @@ def test_delivery_and_accounting_invariants(seed, factory, data):
             replace=False,
         )
     ]
-    config = EngineConfig(max_path_length=200)
-    result = run_task(
-        network, factory(), source, destinations, config=config, collect_trace=True
-    )
+    config = EngineConfig(max_path_length=200, collect_traces=True)
+    result = run_task(network, factory(), source, destinations, config=config)
 
     # Delivered set is a subset of the requested set, with sane hop counts.
     assert set(result.delivered_hops) <= set(destinations)

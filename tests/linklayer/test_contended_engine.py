@@ -76,7 +76,9 @@ class TestDeterminism:
     def test_repeat_runs_are_digest_identical(self):
         network = make_grid_network(5, 100.0)
         tasks = [(0, 0, (24, 20)), (1, 4, (22, 10)), (2, 12, (0, 24))]
-        config = contended_config(link_loss_rate=0.2, loss_seed=7)
+        config = contended_config(
+            link_loss_rate=0.2, loss_seed=7, collect_traces=True
+        )
 
         def run_once():
             return run_contended_tasks(
@@ -85,7 +87,6 @@ class TestDeterminism:
                 GMPProtocol,
                 config=config,
                 start_times=[0.0, 0.001, 0.002],
-                collect_trace=True,
             )
 
         first, second = run_once(), run_once()
@@ -194,11 +195,9 @@ class TestAccounting:
             link_loss_rate=0.4,
             loss_seed=5,
             link=QUIET_LINK,
+            collect_traces=True,
         )
-        result = run_task(
-            network, GRDProtocol(), 0, [2], config=config,
-            collect_trace=True,
-        )
+        result = run_task(network, GRDProtocol(), 0, [2], config=config)
         assert result.trace is not None
         kinds = {frame.kind for frame in result.trace.frames}
         assert kinds == {"data"}
@@ -248,6 +247,10 @@ class TestValidation:
                 config=contended_config(),
                 start_times=[0.0, 1.0],
             )
+
+    def test_empty_batch_returns_no_results(self):
+        network = make_line_network(3, 100.0)
+        assert run_contended_tasks(network, [], GMPProtocol) == []
 
 
 class TestStaleTables:

@@ -75,7 +75,7 @@ class TestMultiDestinationPerimeter:
         net = network_from_points(points, radio_range=150.0)
         result = run_task(
             net, GMPProtocol(), 0, [8, 9],
-            config=EngineConfig(max_path_length=60), collect_trace=True,
+            config=EngineConfig(max_path_length=60, collect_traces=True),
         )
         assert result.success
         # Shared trunk: one split event, at the rim node next to both.
@@ -99,7 +99,7 @@ class TestMultiDestinationPerimeter:
         net = network_from_points(points, radio_range=150.0)
         result = run_task(
             net, GMPProtocol(), 0, [6, 7],
-            config=EngineConfig(max_path_length=60), collect_trace=True,
+            config=EngineConfig(max_path_length=60, collect_traces=True),
         )
         assert result.success
         assert result.trace.perimeter_copy_count() >= 1
