@@ -3,8 +3,8 @@
 :class:`WirelessNetwork` is the authoritative global state of a simulated
 deployment: node locations, the unit-disk neighbor relation induced by the
 radio range, planarized (Gabriel / RNG) neighbor subsets for perimeter
-routing, and conversions to :mod:`networkx` for the centralized SMT baseline
-and connectivity checks.
+routing, and the distance-weighted adjacency rows the centralized SMT
+baseline searches (with a :mod:`networkx` view of them for diagnostics).
 
 Protocol implementations never touch this class directly — they see only the
 per-node :class:`repro.routing.base.NodeView` carved out of it, which is how
@@ -42,7 +42,7 @@ from typing import (
 import networkx as nx
 import numpy as np
 
-from repro.geometry import Point, distance
+from repro.geometry import Point
 from repro.network.node import SensorNode
 from repro.network.planar import gabriel_neighbors, rng_neighbors
 from repro.network.radio import RadioConfig
@@ -56,6 +56,9 @@ from repro.perf.kernels import disk_mask, unit_disk_rows, vectorized_enabled
 #: nodes/km^2 densities stay on the scalar loop while wide-radius and
 #: dense-deployment queries batch.  Results are identical either way.
 _QUERY_BATCH_MIN = 96
+
+#: One node's weighted row: ``(neighbor, distance)`` pairs, ascending ids.
+WeightedRow = Tuple[Tuple[int, float], ...]
 
 
 class SpatialGrid:
@@ -536,7 +539,7 @@ class WirelessNetwork:
         self._gabriel_csr: Optional[CSRAdjacency] = None
         self._rng_csr: Optional[CSRAdjacency] = None
         self._neighbor_arrays: List[Optional[np.ndarray]] = [None] * count
-        self._nx_graph: Optional[nx.Graph] = None
+        self._weighted_rows: Optional[List[Optional[WeightedRow]]] = None
         self._failed: Set[int] = set()
         # True while the flat node-state arrays are views of a shared-memory
         # segment (attached worker view, or the parent after publishing);
@@ -777,8 +780,9 @@ class WirelessNetwork:
         recomputed), the failed node is removed from each former neighbor's
         table, and all derived caches of the affected nodes — planarized
         neighbor subsets, :meth:`neighbor_location_array` rows, the
-        ``networkx`` view — are invalidated.  After this call every query
-        answers exactly as a network freshly built from the surviving nodes.
+        :meth:`weighted_adjacency` rows — are invalidated.  After this call
+        every query answers exactly as a network freshly built from the
+        surviving nodes.
         """
         if node_id in self._failed:
             raise ValueError(f"node {node_id} has already failed")
@@ -793,7 +797,7 @@ class WirelessNetwork:
             self._invalidate_node(n)
         self._adjacency.set_row(node_id, ())
         self._invalidate_node(node_id)
-        self._nx_graph = None
+        self._weighted_rows = None
 
     def move_node(self, node_id: int, new_location: Point) -> None:
         """Relocate a live node, rebuilding exactly the affected state.
@@ -829,7 +833,7 @@ class WirelessNetwork:
             )
             self._invalidate_node(n)
         self._invalidate_node(node_id)
-        self._nx_graph = None
+        self._weighted_rows = None
 
     # ------------------------------------------------------------------
     # Planar overlays (local computations, cached)
@@ -885,28 +889,70 @@ class WirelessNetwork:
     # Global views (for SMT and diagnostics only)
     # ------------------------------------------------------------------
 
-    def to_networkx(self) -> nx.Graph:
-        """The unit-disk graph with Euclidean edge weights (cached)."""
-        if self._nx_graph is None:
-            graph = nx.Graph()
-            for node in self.nodes:
-                if node.node_id in self._failed:
+    def weighted_adjacency(self) -> List[Optional[WeightedRow]]:
+        """Per-node ``(neighbor, distance)`` rows, built on first call.
+
+        Row ``v`` pairs each unit-disk neighbor of ``v``, in ascending id
+        order, with its Euclidean distance; a failed node's row is
+        ``None``.  The distances are ``sqrt(dx*dx + dy*dy)`` over
+        :attr:`locations`, bitwise equal to
+        :func:`repro.geometry.distance`.  This is the graph SMT's KMB tree
+        searches (:func:`repro.steiner.kmb.kmb_steiner_tree`).  Cached
+        until the next topology mutation; only SMT reads it, so workloads
+        that never run SMT never pay for it.
+        """
+        if self._weighted_rows is None:
+            xs = self.locations[:, 0]
+            ys = self.locations[:, 1]
+            rows: List[Optional[WeightedRow]] = []
+            for v in range(len(self.nodes)):
+                if v in self._failed:
+                    rows.append(None)
                     continue
-                graph.add_node(node.node_id, location=node.location)
-            for node in self.nodes:
-                for other in self._adjacency.row_tuple(node.node_id):
-                    if other > node.node_id:
-                        graph.add_edge(
-                            node.node_id,
-                            other,
-                            weight=distance(node.location, self.nodes[other].location),
-                        )
-            self._nx_graph = graph
-        return self._nx_graph
+                ids = self._adjacency.row(v)
+                dx = xs[v] - xs[ids]
+                dy = ys[v] - ys[ids]
+                rows.append(
+                    tuple(zip(ids.tolist(), np.sqrt(dx * dx + dy * dy).tolist()))
+                )
+            self._weighted_rows = rows
+        return self._weighted_rows
+
+    def to_networkx(self) -> nx.Graph:
+        """The unit-disk graph with Euclidean edge weights (built per call).
+
+        Nodes carry their ``location``; the edges and weights are those of
+        :meth:`weighted_adjacency`, inserted in ascending id order.
+        """
+        rows = self.weighted_adjacency()
+        graph = nx.Graph()
+        for node_id, row in enumerate(rows):
+            if row is not None:
+                graph.add_node(node_id, location=self.location_of(node_id))
+        for node_id, row in enumerate(rows):
+            if row is not None:
+                graph.add_edges_from(
+                    (node_id, other, {"weight": weight})
+                    for other, weight in row
+                    if other > node_id
+                )
+        return graph
 
     def is_connected(self) -> bool:
-        """Whether the unit-disk graph is a single component."""
-        return nx.is_connected(self.to_networkx())
+        """Whether the surviving nodes form a single unit-disk component."""
+        live = np.flatnonzero(self.alive).tolist()
+        if not live:
+            raise nx.NetworkXPointlessConcept(
+                "Connectivity is undefined for the null graph."
+            )
+        reached = {live[0]}
+        frontier = [live[0]]
+        while frontier:
+            for other in self._adjacency.row_tuple(frontier.pop()):
+                if other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        return len(reached) == len(live)
 
 
 def build_network(
@@ -959,7 +1005,7 @@ def attach_shared_network(
         else None
     )
     network._neighbor_arrays = [None] * count
-    network._nx_graph = None
+    network._weighted_rows = None
     network._failed = set()
     network._shared_state = True
     return network

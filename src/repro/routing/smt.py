@@ -51,8 +51,13 @@ class SMTProtocol(RoutingProtocol):
     ) -> None:
         """Compute the global KMB tree and the per-node forwarding schedule."""
         terminals = [source_id] + [d for d in destination_ids if d != source_id]
-        weight = "weight" if self.metric == "distance" else (lambda u, v, d: 1.0)
-        tree = kmb_steiner_tree(network.to_networkx(), terminals, weight=weight)
+        adjacency = network.weighted_adjacency()
+        if self.metric == "hops":
+            adjacency = [
+                None if row is None else tuple((n, 1.0) for n, _ in row)
+                for row in adjacency
+            ]
+        tree = kmb_steiner_tree(adjacency, terminals)
         self._schedule = tree_as_routing_schedule(tree, source_id)
         # For each on-tree node, which destinations live strictly below it.
         self._subtree_destinations = {}

@@ -1,7 +1,8 @@
 """Cache-invalidation regression tests for in-place network mutation.
 
 The array-backed hot paths (per-cell SpatialGrid member arrays,
-``neighbor_location_array``, planarization caches) are all derived state;
+``neighbor_location_array``, planarization caches, SMT's weighted
+adjacency rows) are all derived state;
 ``fail_node`` and ``move_node`` must invalidate exactly enough of it that
 every subsequent query answers as if the network had been rebuilt from
 scratch.  These tests warm every cache with a real multicast task first,
@@ -13,6 +14,8 @@ import pytest
 
 from repro.engine import run_task
 from repro.engine.digest import task_digest
+from repro.experiments.config import PaperConfig
+from repro.experiments.sweep import make_network
 from repro.geometry import Point
 from repro.network import RadioConfig, build_network
 from repro.network.graph import SpatialGrid
@@ -32,6 +35,7 @@ def _warm_all_caches(network):
         network.neighbor_location_array(node)
         network.gabriel_neighbors_of(node)
         network.rng_neighbors_of(node)
+    network.weighted_adjacency()
     network.to_networkx()
 
 
@@ -41,7 +45,12 @@ def _assert_matches_fresh_build(mutated, fresh, id_map):
     ``id_map`` maps surviving original ids to the fresh network's ids.
     """
     reverse = {new: old for old, new in id_map.items()}
+    rows = mutated.weighted_adjacency()
+    fresh_rows = fresh.weighted_adjacency()
     for old_id, new_id in id_map.items():
+        # Same neighbors, same distance bits (== on floats is bitwise here).
+        expected_row = tuple(sorted((reverse[v], w) for v, w in fresh_rows[new_id]))
+        assert rows[old_id] == expected_row, old_id
         assert mutated.location_of(old_id) == fresh.location_of(new_id)
         expected_neighbors = tuple(
             sorted(reverse[v] for v in fresh.neighbors_of(new_id))
@@ -102,6 +111,7 @@ class TestNodeFailures:
         # Failed nodes are gone from every view.
         for node_id in doomed:
             assert network.neighbors_of(node_id) == ()
+            assert network.weighted_adjacency()[node_id] is None
             assert node_id not in network.to_networkx()
             for survivor in survivors:
                 assert node_id not in network.neighbors_of(survivor)
@@ -172,6 +182,22 @@ class TestMobility:
         network.fail_node(10)
         with pytest.raises(ValueError):
             network.move_node(10, Point(1.0, 1.0))
+
+
+class TestWeightedAdjacencyIsLazy:
+    """Only SMT reads the weighted rows; nothing else may pay to build them."""
+
+    def test_build_network_leaves_rows_unbuilt(self):
+        network = build_network(_make_points(n=80, seed=2), RadioConfig())
+        assert network._weighted_rows is None
+        network.is_connected()
+        assert network._weighted_rows is None
+        rows = network.weighted_adjacency()
+        assert network.weighted_adjacency() is rows
+
+    def test_make_network_leaves_rows_unbuilt(self):
+        network = make_network(PaperConfig(node_count=120), 0)
+        assert network._weighted_rows is None
 
 
 class TestSpatialGridMutation:

@@ -91,6 +91,16 @@ class TestPublishAttachParity:
         finally:
             plane.close()
 
+    def test_attached_weighted_rows_equal_publishers(self):
+        plane, network = _published_plane()
+        try:
+            attached = attach_manifest(plane.manifests()[(CONFIG, 0, None)])
+            assert attached is not None
+            assert attached._weighted_rows is None
+            assert attached.weighted_adjacency() == network.weighted_adjacency()
+        finally:
+            plane.close()
+
     def test_task_digests_identical_attach_vs_build(self):
         plane, _ = _published_plane()
         try:
